@@ -84,9 +84,13 @@ type calibRun struct {
 	Events       uint64  `json:"events"`
 	WallNs       int64   `json:"wall_ns"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// ProcWakesPerSec measures the goroutine-process resume/yield handshake,
-	// the other kernel hot path (10k loadgen clients are all Procs).
+	// ProcWakesPerSec measures a process resume that crosses goroutines —
+	// one process blocking and handing the baton to another — the other
+	// kernel hot path (10k loadgen clients are all Procs).
 	ProcWakesPerSec float64 `json:"proc_wakes_per_sec"`
+	// SelfResumesPerSec measures a process whose own wake is the next due
+	// event: it keeps the baton and resumes with no goroutine switch.
+	SelfResumesPerSec float64 `json:"self_resumes_per_sec"`
 }
 
 type baselineRec struct {
@@ -202,8 +206,9 @@ func runSimSpeedMacroOnce(opts Options) (macroRun, *loadgen.Report) {
 }
 
 // runSimSpeedCalib measures the kernel's raw dispatch rate: a self-chained
-// callback loop (pure scheduler, empty handlers) and a single process
-// sleep/wake loop (the resume/yield handshake).
+// callback loop (pure scheduler, empty handlers), two processes whose
+// Sleep(1) wakes alternate (each resume a goroutine switch), and one
+// process sleeping alone (each resume a self-resume).
 func runSimSpeedCalib() calibRun {
 	const n = 2_000_000
 	e := sim.NewEnv()
@@ -221,25 +226,33 @@ func runSimSpeedCalib() calibRun {
 	wall := time.Since(start)
 
 	const wakes = 200_000
-	pe := sim.NewEnv()
-	pe.Spawn("calib", func(p *sim.Proc) {
-		for i := 0; i < wakes; i++ {
-			p.Sleep(1)
-		}
-	})
-	pstart := time.Now()
-	pe.Run()
-	pwall := time.Since(pstart)
-	pe.Close()
-
 	cr := calibRun{Events: n, WallNs: wall.Nanoseconds()}
 	if wall > 0 {
 		cr.EventsPerSec = float64(n) / wall.Seconds()
 	}
-	if pwall > 0 {
-		cr.ProcWakesPerSec = float64(wakes) / pwall.Seconds()
-	}
+	cr.ProcWakesPerSec = procWakesPerSec(2, wakes)
+	cr.SelfResumesPerSec = procWakesPerSec(1, wakes)
 	return cr
+}
+
+// procWakesPerSec runs procs processes that each Sleep(1) wakes/procs times
+// and returns process resumes per wall second.
+func procWakesPerSec(procs, wakes int) float64 {
+	e := sim.NewEnv()
+	defer e.Close()
+	for i := 0; i < procs; i++ {
+		e.Spawn("calib", func(p *sim.Proc) {
+			for j := 0; j < wakes/procs; j++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	start := time.Now()
+	e.Run()
+	if wall := time.Since(start); wall > 0 {
+		return float64(wakes) / wall.Seconds()
+	}
+	return 0
 }
 
 func runSimSpeed(opts Options) *Result {
@@ -275,10 +288,11 @@ func runSimSpeed(opts Options) *Result {
 	r.AddPoint("macro-events-per-sec", 0, macro.EventsPerSec/1e6)
 	r.AddPoint("calib-events-per-sec", 1, calib.EventsPerSec/1e6)
 	r.AddPoint("proc-wakes-per-sec", 2, calib.ProcWakesPerSec/1e6)
+	r.AddPoint("self-resumes-per-sec", 3, calib.SelfResumesPerSec/1e6)
 	r.Notef("macro: %d clients, %.0f events (%d callbacks, %d proc wakes) in %.1f ms wall (min of %d reps) = %.2f M events/s, %d RPCs",
 		macro.Clients, float64(macro.Events), macro.Callbacks, macro.ProcWakes, float64(macro.WallNs)/1e6, macro.Reps, macro.EventsPerSec/1e6, macro.RPCsDone)
-	r.Notef("calib: raw dispatch %.2f M events/s, proc wake %.2f M/s; normalized macro cost %.2f dispatch-equivalents/event",
-		calib.EventsPerSec/1e6, calib.ProcWakesPerSec/1e6, stats.NormalizedMacroCost)
+	r.Notef("calib: raw dispatch %.2f M events/s, proc wake %.2f M/s, self-resume %.2f M/s; normalized macro cost %.2f dispatch-equivalents/event",
+		calib.EventsPerSec/1e6, calib.ProcWakesPerSec/1e6, calib.SelfResumesPerSec/1e6, stats.NormalizedMacroCost)
 	r.Notef("vs pre-refactor baseline (same scenario: %d events in %.0f ms): %.2f M baseline-equivalent events/s vs %.2f M = %.1fx speedup",
 		int64(preRefactorEvents), float64(preRefactorWallNs)/1e6, macro.BaselineEquivEventsPerSec/1e6, preRefactorEventsPerSec/1e6, macro.SpeedupVsBaseline)
 	if !rep.Pass {

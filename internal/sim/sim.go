@@ -4,20 +4,24 @@
 // executes two kinds of work:
 //
 //   - Processes (Proc): goroutines that model threads of execution (client
-//     coroutines, server worker threads). A process runs exclusively — the
-//     scheduler hands control to exactly one process at a time and waits for
-//     it to block again — so process code needs no locking and the whole
-//     simulation is deterministic for a given seed and configuration.
+//     coroutines, server worker threads). Exactly one goroutine runs at a
+//     time — it holds the baton — so process code needs no locking and the
+//     whole simulation is deterministic for a given seed and configuration.
+//     A process that blocks runs the event loop itself until the next
+//     process is due, then resumes it directly (one goroutine switch) and
+//     parks; see RunUntil.
 //
 //   - Callbacks: plain functions scheduled with Env.At, executed inline by
-//     the scheduler. These are the cheap event-driven path used by hardware
-//     models (NIC engines, fabric links) where spawning a goroutine per
-//     event would dominate runtime. Callbacks must not block.
+//     whichever goroutine holds the baton. These are the cheap event-driven
+//     path used by hardware models (NIC engines, fabric links) where
+//     spawning a goroutine per event would dominate runtime. Callbacks must
+//     not block. A callback's panic surfaces from RunUntil.
 //
 // Determinism: events fire in (time, sequence) order; the sequence number is
 // assigned at scheduling time, so two events scheduled for the same instant
-// fire in the order they were created. The event queue is a hierarchical
-// timing wheel (see wheel.go); the original binary heap is retained behind
+// fire in the order they were created. Which goroutine runs the loop never
+// changes that order. The event queue is a hierarchical timing wheel (see
+// wheel.go); the original binary heap is retained behind
 // SetDefaultScheduler for the equivalence tests.
 package sim
 
@@ -131,9 +135,15 @@ type Env struct {
 	firedCB uint64
 	firedPr [tagCount]uint64
 	sched   scheduler
-	yield   chan struct{}
+	until   Time          // horizon of the RunUntil call in progress
+	yield   chan struct{} // hands control back to the RunUntil goroutine
 	procs   map[*Proc]struct{}
 	closed  bool
+	// inCallback is set while the baton holder runs a callback, so a panic
+	// unwinding a process goroutine can be told apart from one raised by
+	// process code; cbPanic carries the former to RunUntil.
+	inCallback bool
+	cbPanic    interface{}
 }
 
 // NewEnv returns a fresh environment with the clock at zero.
@@ -205,11 +215,8 @@ func (e *Env) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SpawnAt creates a process executing fn, scheduled to start after delay.
 //
-// The handshake channels are buffered (capacity 1): the protocol is a strict
-// ping-pong — at most one resume token and one yield token are ever in
-// flight — so buffering never reorders anything, but it lets each side hand
-// off without a synchronous rendezvous, roughly halving the scheduler↔proc
-// context switches.
+// The new goroutine parks until its start event is dispatched. When fn
+// returns, the goroutine passes the baton on (see RunUntil) before exiting.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(*Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
@@ -218,32 +225,43 @@ func (e *Env) SpawnAt(delay Duration, name string, fn func(*Proc)) *Proc {
 	e.procs[p] = struct{}{}
 	go func() {
 		defer func() {
-			p.done = true
-			delete(e.procs, p)
 			if r := recover(); r != nil {
-				if _, ok := r.(killedPanic); ok {
-					e.yield <- struct{}{}
-					return
-				}
-				// Re-panic in the scheduler's context would deadlock the
-				// handshake; annotate and crash this goroutine instead.
-				panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, r))
+				p.unwound(r)
 			}
-			e.yield <- struct{}{}
 		}()
-		// Wait for the first schedule directly — without the yield half of
-		// the handshake, which belongs to the scheduler's resume cycle.
-		// (Spawn may be called from a running process; sending yield here
-		// would race with the scheduler's pending receive for that
-		// process.)
 		<-p.resume
 		if p.killed {
 			panic(killedPanic{})
 		}
 		fn(p)
+		p.done = true
+		delete(e.procs, p)
+		e.pass(e.dispatch())
 	}()
 	e.scheduleProc(p, delay, tagStart)
 	return p
+}
+
+// unwound handles a panic that unwound p's goroutine. A kill from Close
+// hands control straight back to Close. A panic raised by a callback that
+// this goroutine was dispatching is forwarded to RunUntil, which re-panics
+// with it. A panic in process code crashes the program, labelled with the
+// process's name.
+func (p *Proc) unwound(r interface{}) {
+	e := p.env
+	p.done = true
+	delete(e.procs, p)
+	if _, ok := r.(killedPanic); ok {
+		e.yield <- struct{}{}
+		return
+	}
+	if e.inCallback {
+		e.inCallback = false
+		e.cbPanic = r
+		e.yield <- struct{}{}
+		return
+	}
+	panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, r))
 }
 
 // Wake tags reported to blocked processes.
@@ -256,10 +274,16 @@ const (
 	tagCount
 )
 
-// block yields control to the scheduler and waits to be resumed, returning
-// the tag of the wake source.
+// block parks the process until a wake source fires, returning its tag.
+// The process's own goroutine runs the dispatch loop in the meantime: when
+// the next due process event is its own, it returns without a goroutine
+// switch; otherwise it passes the baton on and parks.
 func (p *Proc) block() int {
-	p.env.yield <- struct{}{}
+	next, tag := p.env.dispatch()
+	if next == p {
+		return tag
+	}
+	p.env.pass(next, tag)
 	t := <-p.resume
 	if p.killed {
 		panic(killedPanic{})
@@ -284,17 +308,47 @@ func (e *Env) Run() Time { return e.RunUntil(maxTime) }
 // RunUntil processes events with timestamps ≤ until, then sets the clock to
 // until (if it advanced that far) and returns it. Events beyond the horizon
 // stay queued; RunUntil may be called repeatedly.
+//
+// Dispatch passes a baton: whichever goroutine holds it runs the event loop.
+// RunUntil starts the loop; when it resumes a process, that process's
+// goroutine takes the loop over, and on blocking or exiting it resumes the
+// next process itself (or carries on, if that is its own wake). The baton
+// comes back to RunUntil only when nothing is due by the horizon, so each
+// process resume costs one goroutine switch, not a round trip through the
+// RunUntil goroutine.
 func (e *Env) RunUntil(until Time) Time {
+	e.until = until
+	e.inCallback = false // left set by a callback panic recovered around an earlier call
+	if p, tag := e.dispatch(); p != nil {
+		p.resume <- tag
+		<-e.yield
+		if r := e.cbPanic; r != nil {
+			e.cbPanic = nil
+			panic(r)
+		}
+	}
+	if e.now < until && until < maxTime {
+		e.now = until
+	}
+	return e.now
+}
+
+// dispatch runs due events in (at, seq) order on the calling goroutine:
+// callbacks inline, stale wake-ups skipped. It returns the first process to
+// resume, with its wake tag, or nil when nothing is due by the horizon.
+func (e *Env) dispatch() (*Proc, int) {
 	for {
-		ev, ok := e.sched.next(until)
+		ev, ok := e.sched.next(e.until)
 		if !ok {
-			break
+			return nil, 0
 		}
 		if ev.fn != nil {
 			e.now = ev.at
 			e.fired++
 			e.firedCB++
+			e.inCallback = true
 			ev.fn()
+			e.inCallback = false
 			continue
 		}
 		p := ev.proc
@@ -305,13 +359,18 @@ func (e *Env) RunUntil(until Time) Time {
 		e.fired++
 		e.firedPr[ev.tag]++
 		p.gen++ // invalidate competing wake sources
-		p.resume <- ev.tag
-		<-e.yield
+		return p, ev.tag
 	}
-	if e.now < until && until < maxTime {
-		e.now = until
+}
+
+// pass hands the baton to next, or back to RunUntil when next is nil. The
+// caller must not touch Env state afterwards until it is resumed.
+func (e *Env) pass(next *Proc, tag int) {
+	if next != nil {
+		next.resume <- tag
+	} else {
+		e.yield <- struct{}{}
 	}
-	return e.now
 }
 
 // SchedulerName identifies the default event-queue implementation new
@@ -326,7 +385,7 @@ func (e *Env) Fired() uint64 { return e.fired }
 // FiredBreakdown returns the dispatched-event mix: callbacks and process
 // resumes by wake source (start, timer, signal, queue, resource). The
 // breakdown shows what a macro benchmark is actually paying for — process
-// resumes cost a goroutine handshake, callbacks do not.
+// resumes usually cost a goroutine switch, callbacks do not.
 func (e *Env) FiredBreakdown() (callbacks uint64, procByTag [5]uint64) {
 	copy(procByTag[:], e.firedPr[:])
 	return e.firedCB, procByTag

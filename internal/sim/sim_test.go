@@ -377,6 +377,8 @@ func BenchmarkCallbackEvents(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkProcSleepWake measures a self-resume: the sleeping process's
+// own wake is the next event, so it keeps the baton.
 func BenchmarkProcSleepWake(b *testing.B) {
 	e := NewEnv()
 	e.Spawn("p", func(p *Proc) {
@@ -384,6 +386,21 @@ func BenchmarkProcSleepWake(b *testing.B) {
 			p.Sleep(1)
 		}
 	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcHandoff measures a cross-goroutine resume: two sleeping
+// processes whose wakes alternate, so each block passes the baton.
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEnv()
+	for j := 0; j < 2; j++ {
+		e.Spawn("p", func(p *Proc) {
+			for i := j; i < b.N; i += 2 {
+				p.Sleep(1)
+			}
+		})
+	}
 	b.ResetTimer()
 	e.Run()
 }
